@@ -85,7 +85,7 @@ fuzz-smoke:
 ## plus the instrumented-simulator metrics snapshot (bench-metrics.json)
 ## CI uploads for the perf trajectory.
 bench-smoke:
-	$(GO) test -bench . -benchtime 100x -run '^$$' . | tee bench-smoke.txt
+	$(GO) test -bench . -benchtime 100x -run '^$$' . ./internal/server | tee bench-smoke.txt
 	IDLEREDUCE_BENCH_METRICS=$(CURDIR)/bench-metrics.json \
 		$(GO) test -bench 'BenchmarkSimulatorObs' -benchtime 100x -run '^$$' .
 	@echo wrote bench-smoke.txt bench-metrics.json

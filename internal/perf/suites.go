@@ -401,7 +401,7 @@ func defaultCache() (*server.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return server.NewCache(areas, nil)
+	return server.NewShardedCache(areas, nil, 0)
 }
 
 // defaultHandler builds a full idled handler tree (no listener) over

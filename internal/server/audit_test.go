@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -338,5 +339,75 @@ func TestGeneratedRequestIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate id %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// serveAll drives n requests from one goroutine through the handler
+// in-process, reporting the first non-2xx reply.
+func serveAll(h http.Handler, n int, req func(i int) *http.Request) string {
+	for i := 0; i < n; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req(i))
+		if w.Code/100 != 2 {
+			return fmt.Sprintf("request %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	return ""
+}
+
+// TestAuditConsistentUnderConcurrentStatsSwaps: multislope3 decides
+// race stats updates on one area, so lazy fills keep landing between a
+// decide's record lookup and its strategy fetch. Every audit record
+// must still replay to the decision served: the recorded statistics
+// are the ones the served strategy was prepared from.
+func TestAuditConsistentUnderConcurrentStatsSwaps(t *testing.T) {
+	audit := &syncBuffer{}
+	s, err := New(Config{Areas: testAreas(), AuditLog: audit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	// The two stat sets draw different multislope3 strategies (TOI+DET
+	// vs TOI+N-Rand), so a record stamped with the wrong set replays
+	// to a different decision.
+	stats := []string{`{"mu":8,"q":0.13}`, `{"mu":5,"q":0.5}`}
+	const deciders, decides, updates = 4, 400, 400
+	errs := make(chan string, deciders+1)
+	var wg sync.WaitGroup
+	wg.Add(deciders + 1)
+	go func() {
+		defer wg.Done()
+		errs <- serveAll(h, updates, func(i int) *http.Request {
+			return httptest.NewRequest("PUT", "/v1/areas/chicago/stats", strings.NewReader(stats[i%2]))
+		})
+	}()
+	for d := 0; d < deciders; d++ {
+		go func(d int) {
+			defer wg.Done()
+			errs <- serveAll(h, decides, func(i int) *http.Request {
+				body := fmt.Sprintf(`{"vehicle_id":"v-%d-%d","area":"chicago","policy":"multislope3"}`, d, i)
+				return httptest.NewRequest("POST", "/v1/decide", strings.NewReader(body))
+			})
+		}(d)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		if e != "" {
+			t.Error(e)
+		}
+	}
+	if err := s.closeLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.auditW.Dropped(); n != 0 {
+		t.Fatalf("audit writer dropped %d records", n)
+	}
+	rep, err := VerifyAudit(strings.NewReader(audit.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Records != deciders*decides || rep.Matched != rep.Records {
+		t.Errorf("verify report %+v, want %d/%d matched", rep, deciders*decides, deciders*decides)
 	}
 }

@@ -72,7 +72,7 @@ type areaRec struct {
 
 // newAreaRec validates and normalizes one area state.
 func newAreaRec(state AreaState, version uint64) (*areaRec, error) {
-	state.ID = strings.ToLower(strings.TrimSpace(state.ID))
+	state.ID = areaKey(state.ID)
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,14 +84,10 @@ func newAreaRec(state AreaState, version uint64) (*areaRec, error) {
 	}, nil
 }
 
-// Key identifies one cache entry: the area, the policy engine, and the
-// fingerprint of the engine parameters the strategy was prepared with
-// (today the effective break-even interval). Distinct engines — and
-// distinct parameterizations of one engine — never collide.
-type Key struct {
-	Area   string
-	Engine string
-	Params uint64
+// areaKey normalizes an area ID to its lookup key (case-insensitive,
+// surrounding space ignored).
+func areaKey(id string) string {
+	return strings.ToLower(strings.TrimSpace(id))
 }
 
 // paramsHash fingerprints the engine parameters of a prepared
@@ -133,20 +129,17 @@ func areaHash(id string) uint64 {
 
 // strategy is one immutable cache entry: the area record plus the
 // engine-prepared policy. Entries are never mutated after
-// construction; updates build fresh entries and swap their shard's
-// snapshot.
+// construction; writes build fresh entries and publish them in a
+// fresh area view.
 type strategy struct {
 	rec  *areaRec
 	eng  policy.Engine
 	prep policy.Strategy
-	// params are the resolved engine parameters this entry was prepared
-	// with; nil for the default parameterization.
-	params map[string]float64
-}
-
-// key returns the entry's cache key.
-func (s *strategy) key() Key {
-	return Key{Area: s.rec.state.ID, Engine: s.eng.Name(), Params: paramsHash(s.rec.state.B, s.params)}
+	// hash is the paramsHash of the resolved engine parameters this
+	// entry was prepared with; with the engine name it identifies the
+	// entry within its area view. Distinct engines — and distinct
+	// parameterizations of one engine — never collide.
+	hash uint64
 }
 
 // Info renders the entry as the wire AreaInfo. The Policy field is set
@@ -171,21 +164,34 @@ func (s *strategy) Info() AreaInfo {
 	return info
 }
 
-// snapshot is one immutable generation of ONE shard: the shard's area
-// records plus the prepared per-engine strategies of those areas.
-type snapshot struct {
-	areas   map[string]*areaRec
-	entries map[Key]*strategy
+// areaView is one immutable generation of ONE area: its record plus
+// the strategies prepared from it. entries starts with the eager
+// engines' entries, the registry default first, followed by any lazy
+// fills. Every write to the area publishes a fresh view, so a reader
+// holding a view keeps a consistent picture of that area.
+type areaView struct {
+	rec     *areaRec
+	entries []*strategy
 }
 
-// shard is one independently-published slice of the cache keyspace.
-// Readers load the shard's snapshot with a single atomic pointer load;
-// writers serialize on the shard mutex and publish copy-on-write, so a
-// stats update or lazy engine fill on one shard never blocks decides —
-// or concurrent updates — on any other shard.
+// find returns the view's entry for (engine, params hash), or nil.
+func (v *areaView) find(engine string, hash uint64) *strategy {
+	for _, st := range v.entries {
+		if st.hash == hash && st.eng.Name() == engine {
+			return st
+		}
+	}
+	return nil
+}
+
+// shard stripes the cache's writer mutexes and its hit/miss counters
+// over the area keyspace. views is built at boot and never changes
+// afterwards (the serving area set is fixed), so readers index it
+// without a lock; each area's current view sits behind its own atomic
+// pointer.
 type shard struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[snapshot]
+	mu    sync.Mutex // serializes writes to this shard's areas
+	views map[string]*atomic.Pointer[areaView]
 	// hitMetric / missMetric are the pre-formatted per-shard cache
 	// counters (decide_shard_hits_total{shard=N} and the miss twin), so
 	// per-shard hit-rate attribution costs the hot path no formatting.
@@ -194,19 +200,19 @@ type shard struct {
 }
 
 // DefaultShards is the shard count used when Config.Shards is unset:
-// enough to keep stats updates and lazy fills from contending at
-// million-vehicle area counts, small enough that a full listing stays
-// cheap.
+// enough writer mutexes that concurrent writes to different areas
+// rarely wait on one another.
 const DefaultShards = 16
 
-// Cache is the read-mostly strategy cache, keyed {area, engine,
-// params-hash} and sharded by area hash. Reads are a single atomic
-// pointer load on the owning shard plus map lookups — no locks on the
-// decide path, and no cross-shard coordination anywhere: each shard
-// has its own writer mutex and its own copy-on-write snapshot chain,
-// so there is no global swap and a re-tune storm on one shard leaves
-// the other shards' decide latency untouched. Readers holding an old
-// shard snapshot keep a consistent view of that shard.
+// Cache is the read-mostly strategy cache. Each area owns an atomic
+// pointer to an immutable areaView; a read is one pointer load plus a
+// scan of the area's few entries — no locks on the decide path. A
+// write (stats update, re-tune, restore or lazy engine fill) prepares
+// its strategies first, then publishes one fresh view for each area it
+// touches, copying only that area's entries: its cost does not grow
+// with the number of areas, and every other area keeps its view
+// pointer untouched. Areas are placed on shards by hash; a shard only
+// stripes the writer mutexes and splits the hit/miss counters.
 //
 // Entries for the eager engines (the registry default plus the
 // daemon's serving default) are prepared at boot and on every stats
@@ -217,12 +223,9 @@ type Cache struct {
 	shards []*shard
 	mask   uint64
 	eager  []policy.Engine
-}
-
-// NewCache builds the cache from the boot-time area states with the
-// default shard count; see NewShardedCache.
-func NewCache(areas []AreaState, eager []policy.Engine) (*Cache, error) {
-	return NewShardedCache(areas, eager, 0)
+	// order holds every area's view pointer sorted by area ID, for the
+	// listings.
+	order []*atomic.Pointer[areaView]
 }
 
 // NewShardedCache builds the cache from the boot-time area states,
@@ -245,13 +248,6 @@ func NewShardedCache(areas []AreaState, eager []policy.Engine, shards int) (*Cac
 		seen[rec.state.ID] = true
 		recs = append(recs, rec)
 	}
-	return newCacheFromRecs(recs, eager, shards)
-}
-
-// newCacheFromRecs builds and publishes the shard snapshots from
-// validated, deduplicated area records (the shared tail of boot and
-// snapshot restore; recs carry their own versions).
-func newCacheFromRecs(recs []*areaRec, eager []policy.Engine, shards int) (*Cache, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("server: no areas configured")
 	}
@@ -263,28 +259,29 @@ func newCacheFromRecs(recs []*areaRec, eager []policy.Engine, shards int) (*Cach
 			engines = append(engines, e)
 		}
 	}
-	c := &Cache{shards: make([]*shard, n), mask: uint64(n - 1), eager: engines}
-	snaps := make([]*snapshot, n)
+	c := &Cache{
+		shards: make([]*shard, n),
+		mask:   uint64(n - 1),
+		eager:  engines,
+		order:  make([]*atomic.Pointer[areaView], 0, len(recs)),
+	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
+			views:      make(map[string]*atomic.Pointer[areaView], len(recs)/n+1),
 			hitMetric:  obs.L("decide_shard_hits_total", "shard", strconv.Itoa(i)),
 			missMetric: obs.L("decide_shard_misses_total", "shard", strconv.Itoa(i)),
 		}
-		snaps[i] = &snapshot{areas: make(map[string]*areaRec), entries: make(map[Key]*strategy)}
 	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].state.ID < recs[j].state.ID })
 	for _, rec := range recs {
-		sn := snaps[areaHash(rec.state.ID)&c.mask]
-		sn.areas[rec.state.ID] = rec
-		for _, eng := range engines {
-			st, err := prepare(rec, eng)
-			if err != nil {
-				return nil, err
-			}
-			sn.entries[st.key()] = st
+		entries, err := c.prepareEager(rec)
+		if err != nil {
+			return nil, err
 		}
-	}
-	for i, sh := range c.shards {
-		sh.snap.Store(snaps[i])
+		p := new(atomic.Pointer[areaView])
+		p.Store(&areaView{rec: rec, entries: entries})
+		c.shardFor(rec.state.ID).views[rec.state.ID] = p
+		c.order = append(c.order, p)
 	}
 	return c, nil
 }
@@ -307,6 +304,16 @@ func (c *Cache) Shards() int { return len(c.shards) }
 // shardFor returns the shard owning a normalized area ID.
 func (c *Cache) shardFor(id string) *shard {
 	return c.shards[areaHash(id)&c.mask]
+}
+
+// view returns the current view of an area (case-insensitive).
+func (c *Cache) view(id string) (*areaView, bool) {
+	key := areaKey(id)
+	p, ok := c.shardFor(key).views[key]
+	if !ok {
+		return nil, false
+	}
+	return p.Load(), true
 }
 
 // prepare builds one cache entry with the default parameterization.
@@ -333,35 +340,48 @@ func prepareWith(rec *areaRec, eng policy.Engine, params map[string]float64) (*s
 	if err != nil {
 		return nil, fmt.Errorf("server: area %s: engine %s: %w", rec.state.ID, eng.Name(), err)
 	}
-	return &strategy{rec: rec, eng: eng, prep: prep, params: params}, nil
+	return &strategy{rec: rec, eng: eng, prep: prep, hash: paramsHash(rec.state.B, params)}, nil
+}
+
+// prepareEager prepares every eager engine against a record, in the
+// order an areaView keeps them (registry default first).
+func (c *Cache) prepareEager(rec *areaRec) ([]*strategy, error) {
+	entries := make([]*strategy, len(c.eager))
+	for i, eng := range c.eager {
+		st, err := prepare(rec, eng)
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = st
+	}
+	return entries, nil
 }
 
 // Area returns the current record of an area (case-insensitive).
 func (c *Cache) Area(id string) (*areaRec, bool) {
-	key := strings.ToLower(strings.TrimSpace(id))
-	rec, ok := c.shardFor(key).snap.Load().areas[key]
-	return rec, ok
+	v, ok := c.view(id)
+	if !ok {
+		return nil, false
+	}
+	return v.rec, true
 }
 
 // Get returns an area's default-engine strategy (the legacy lookup
 // surface; always present for configured areas).
 func (c *Cache) Get(id string) (*strategy, bool) {
-	key := strings.ToLower(strings.TrimSpace(id))
-	sn := c.shardFor(key).snap.Load()
-	rec, ok := sn.areas[key]
+	v, ok := c.view(id)
 	if !ok {
 		return nil, false
 	}
-	st, ok := sn.entries[Key{Area: rec.state.ID, Engine: policy.DefaultEngine, Params: paramsHash(rec.state.B, nil)}]
-	return st, ok
+	return v.entries[0], true
 }
 
 // Strategy returns the prepared strategy of (area, engine) at the
 // area's default break-even and default parameterization. Eager
 // engines always hit; other engines prepare lazily on first use,
-// publish copy-on-write on their shard, and hit from then on. An
-// engine that cannot serve the area's statistics returns the prepare
-// error (wrapping policy.ErrInfeasible) without caching the failure.
+// publish a fresh view of their area, and hit from then on. An engine
+// that cannot serve the area's statistics returns the prepare error
+// (wrapping policy.ErrInfeasible) without caching the failure.
 func (c *Cache) Strategy(rec *areaRec, eng policy.Engine) (*strategy, error) {
 	return c.StrategyParams(rec, eng, nil)
 }
@@ -370,35 +390,41 @@ func (c *Cache) Strategy(rec *areaRec, eng policy.Engine) (*strategy, error) {
 // cache key: each distinct parameterization of an engine is its own
 // lazily-filled entry, invalidated like any other lazy entry when the
 // area's statistics change.
+//
+// The returned strategy is always prepared from rec. When a stats
+// write has replaced rec since the caller looked it up, the strategy
+// is prepared from rec without being cached, so a caller that stamps
+// rec into its reply and audit record describes exactly the strategy
+// it served.
 func (c *Cache) StrategyParams(rec *areaRec, eng policy.Engine, params map[string]float64) (*strategy, error) {
 	sh := c.shardFor(rec.state.ID)
-	key := Key{Area: rec.state.ID, Engine: eng.Name(), Params: paramsHash(rec.state.B, params)}
-	if st, ok := sh.snap.Load().entries[key]; ok && st.rec == rec {
-		return st, nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sn := sh.snap.Load()
-	// Re-check under the lock; another request may have prepared it,
-	// and the area may have been re-stated since the caller's lookup.
-	cur, ok := sn.areas[rec.state.ID]
+	p, ok := sh.views[rec.state.ID]
 	if !ok {
 		return nil, fmt.Errorf("server: unknown area %q", rec.state.ID)
 	}
-	key.Params = paramsHash(cur.state.B, params)
-	if st, ok := sn.entries[key]; ok && st.rec == cur {
+	name, hash := eng.Name(), paramsHash(rec.state.B, params)
+	if v := p.Load(); v.rec == rec {
+		if st := v.find(name, hash); st != nil {
+			return st, nil
+		}
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// Re-check under the lock: another request may have filled the
+	// entry since the lock-free lookup.
+	v := p.Load()
+	if st := v.find(name, hash); st != nil && v.rec == rec {
 		return st, nil
 	}
-	st, err := prepareWith(cur, eng, params)
+	st, err := prepareWith(rec, eng, params)
 	if err != nil {
 		return nil, err
 	}
-	next := &snapshot{areas: sn.areas, entries: make(map[Key]*strategy, len(sn.entries)+1)}
-	for k, v := range sn.entries {
-		next.entries[k] = v
+	if v.rec == rec {
+		entries := make([]*strategy, len(v.entries), len(v.entries)+1)
+		copy(entries, v.entries)
+		p.Store(&areaView{rec: rec, entries: append(entries, st)})
 	}
-	next.entries[st.key()] = st
-	sh.snap.Store(next)
 	return st, nil
 }
 
@@ -407,20 +433,19 @@ func (c *Cache) StrategyParams(rec *areaRec, eng policy.Engine, params map[strin
 // re-prepared and validated before publication — a stats update that
 // any serving-default engine cannot serve is rejected whole — and
 // lazily-cached entries of other engines are dropped so they rebuild
-// against the new statistics on next use. Only the area's own shard
-// is locked and re-published; every other shard keeps serving its
-// current snapshot untouched. Returns the area's new default-engine
-// strategy.
+// against the new statistics on next use. Only the area's own view is
+// re-published; every other area keeps serving its current view
+// untouched. Returns the area's new default-engine strategy.
 func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, error) {
-	key := strings.ToLower(strings.TrimSpace(id))
+	key := areaKey(id)
 	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sn := sh.snap.Load()
-	prev, ok := sn.areas[key]
+	p, ok := sh.views[key]
 	if !ok {
 		return nil, fmt.Errorf("server: unknown area %q", id)
 	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	prev := p.Load().rec
 	if b <= 0 || math.IsNaN(b) {
 		b = prev.state.B
 	}
@@ -436,68 +461,28 @@ func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, erro
 		latMetric: prev.latMetric,
 		cntMetric: prev.cntMetric,
 	}
-	def, fresh, err := c.prepareEager(rec)
+	entries, err := c.prepareEager(rec)
 	if err != nil {
 		return nil, err
 	}
-	sh.snap.Store(replaceArea(sn, rec, fresh))
-	return def, nil
+	p.Store(&areaView{rec: rec, entries: entries})
+	return entries[0], nil
 }
 
-// prepareEager prepares every eager engine against a fresh record,
-// returning the default-engine entry and the full set.
-func (c *Cache) prepareEager(rec *areaRec) (*strategy, []*strategy, error) {
-	fresh := make([]*strategy, 0, len(c.eager))
-	var def *strategy
-	for _, eng := range c.eager {
-		st, err := prepare(rec, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		if eng.Name() == policy.DefaultEngine {
-			def = st
-		}
-		fresh = append(fresh, st)
-	}
-	return def, fresh, nil
-}
-
-// replaceArea builds a shard snapshot with one area's record and eager
-// entries replaced and its lazy entries dropped.
-func replaceArea(sn *snapshot, rec *areaRec, fresh []*strategy) *snapshot {
-	next := &snapshot{
-		areas:   make(map[string]*areaRec, len(sn.areas)),
-		entries: make(map[Key]*strategy, len(sn.entries)),
-	}
-	for k, v := range sn.areas {
-		next.areas[k] = v
-	}
-	next.areas[rec.state.ID] = rec
-	for k, v := range sn.entries {
-		if k.Area != rec.state.ID {
-			next.entries[k] = v
-		}
-	}
-	for _, st := range fresh {
-		next.entries[st.key()] = st
-	}
-	return next
-}
-
-// Restore atomically replaces the state of existing areas from a
-// snapshot: for each entry the record (state AND statistics version)
-// is rebuilt, eager engines are re-prepared, and the owning shard is
-// re-published copy-on-write. All entries are validated and prepared
-// before any shard is touched, so a bad snapshot changes nothing.
-// Entries naming unknown areas are rejected: the serving area set is
-// fixed at boot. Each shard swaps atomically; concurrent decides on
-// other shards are never blocked.
+// Restore replaces the state of existing areas from a snapshot: for
+// each entry the record (state AND statistics version) is rebuilt and
+// eager engines are re-prepared. All entries are validated and
+// prepared before any area is touched, so a bad snapshot changes
+// nothing; then each area publishes one fresh view. Entries naming
+// unknown areas are rejected: the serving area set is fixed at boot.
+// Concurrent decides are never blocked.
 func (c *Cache) Restore(entries []AreaSnapshot) error {
 	type staged struct {
-		rec   *areaRec
-		fresh []*strategy
+		sh   *shard
+		p    *atomic.Pointer[areaView]
+		view *areaView
 	}
-	byShard := make(map[*shard][]staged)
+	stage := make([]staged, 0, len(entries))
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		rec, err := newAreaRec(e.AreaState, e.Version)
@@ -511,57 +496,42 @@ func (c *Cache) Restore(entries []AreaSnapshot) error {
 			return fmt.Errorf("server: restore: duplicate area %q", rec.state.ID)
 		}
 		seen[rec.state.ID] = true
-		if _, ok := c.Area(rec.state.ID); !ok {
+		sh := c.shardFor(rec.state.ID)
+		p, ok := sh.views[rec.state.ID]
+		if !ok {
 			return fmt.Errorf("server: restore: unknown area %q (the serving set is fixed at boot)", rec.state.ID)
 		}
-		_, fresh, err := c.prepareEager(rec)
+		prepared, err := c.prepareEager(rec)
 		if err != nil {
 			return err
 		}
-		sh := c.shardFor(rec.state.ID)
-		byShard[sh] = append(byShard[sh], staged{rec: rec, fresh: fresh})
+		stage = append(stage, staged{sh: sh, p: p, view: &areaView{rec: rec, entries: prepared}})
 	}
-	for sh, batch := range byShard {
-		sh.mu.Lock()
-		sn := sh.snap.Load()
-		for _, st := range batch {
-			sn = replaceArea(sn, st.rec, st.fresh)
-		}
-		sh.snap.Store(sn)
-		sh.mu.Unlock()
+	for _, st := range stage {
+		st.sh.mu.Lock()
+		st.p.Store(st.view)
+		st.sh.mu.Unlock()
 	}
 	return nil
 }
 
 // Areas returns every area record sorted by ID.
 func (c *Cache) Areas() []*areaRec {
-	var out []*areaRec
-	for _, sh := range c.shards {
-		for _, rec := range sh.snap.Load().areas {
-			out = append(out, rec)
-		}
+	out := make([]*areaRec, len(c.order))
+	for i, p := range c.order {
+		out[i] = p.Load().rec
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].state.ID < out[j].state.ID })
 	return out
 }
 
 // List returns every area's default-engine strategy sorted by ID.
 func (c *Cache) List() []*strategy {
-	recs := c.Areas()
-	out := make([]*strategy, 0, len(recs))
-	for _, rec := range recs {
-		if st, ok := c.Get(rec.state.ID); ok {
-			out = append(out, st)
-		}
+	out := make([]*strategy, len(c.order))
+	for i, p := range c.order {
+		out[i] = p.Load().entries[0]
 	}
 	return out
 }
 
 // Len returns the number of configured areas.
-func (c *Cache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += len(sh.snap.Load().areas)
-	}
-	return n
-}
+func (c *Cache) Len() int { return len(c.order) }

@@ -32,16 +32,16 @@ func TestNewCacheValidates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewCache(tc.areas, nil)
+			_, err := NewShardedCache(tc.areas, nil, 0)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("NewCache(%v) err = %v, want containing %q", tc.areas, err, tc.want)
+				t.Errorf("NewShardedCache(%v) err = %v, want containing %q", tc.areas, err, tc.want)
 			}
 		})
 	}
 }
 
 func TestCacheGetCaseInsensitive(t *testing.T) {
-	c, err := NewCache(testAreas(), nil)
+	c, err := NewShardedCache(testAreas(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCacheGetCaseInsensitive(t *testing.T) {
 }
 
 func TestCacheUpdateSwapsStrategy(t *testing.T) {
-	c, err := NewCache(testAreas(), nil)
+	c, err := NewShardedCache(testAreas(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCacheUpdateSwapsStrategy(t *testing.T) {
 }
 
 func TestCacheUpdateRejectsAndKeepsOld(t *testing.T) {
-	c, err := NewCache(testAreas(), nil)
+	c, err := NewShardedCache(testAreas(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCacheUpdateRejectsAndKeepsOld(t *testing.T) {
 }
 
 func TestCacheListSorted(t *testing.T) {
-	c, err := NewCache(testAreas(), nil)
+	c, err := NewShardedCache(testAreas(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

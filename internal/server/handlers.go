@@ -159,6 +159,10 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	var prep policy.Strategy
 	if cached {
 		b = rec.state.B
+		// The entry is always prepared from rec — a stats swap landing
+		// since the lookup above yields an uncached strategy for rec, not
+		// one for the newer record — so the reply and audit record below
+		// describe exactly the strategy served.
 		entry, err := s.cache.StrategyParams(rec, eng, params)
 		if err != nil {
 			return nil, enginePrepareError(eng, rec.state.ID, b, err)

@@ -117,15 +117,12 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 			return nil, &APIError{Code: "invalid_prediction", Message: err.Error(), Status: http.StatusBadRequest}
 		}
 	}
-	rec, ok := s.cache.Area(req.Area)
+	// The observer set is the boot-fixed area set, so it doubles as the
+	// existence check.
+	id := areaKey(req.Area)
+	o, ok := s.observers.get(id)
 	if !ok {
 		return nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
-	}
-	o, ok := s.observers.get(rec.state.ID)
-	if !ok {
-		// Unreachable with the boot-fixed area set; fail loudly if the
-		// invariant ever breaks.
-		return nil, &APIError{Code: "internal", Message: fmt.Sprintf("no observer for area %q", rec.state.ID), Status: http.StatusInternalServerError}
 	}
 
 	// A decision id settles its ledger entry before the tracker absorbs
@@ -159,6 +156,15 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	// Read the record under the observer lock: re-tunes of this area
+	// run under the same lock, so the version stamped below is never
+	// older than one an earlier observe of the stream already recorded.
+	rec, ok := s.cache.Area(id)
+	if !ok {
+		// Unreachable: the cache and the observers share the boot-fixed
+		// area set. Fail loudly if the invariant ever breaks.
+		return nil, &APIError{Code: "internal", Message: fmt.Sprintf("no cache record for area %q", id), Status: http.StatusInternalServerError}
+	}
 	// A stats update may have moved the area's break-even interval;
 	// the moments are only meaningful at one B, so the stream restarts
 	// against the new interval.

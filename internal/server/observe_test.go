@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"idlereduce/internal/skirental"
@@ -317,5 +319,70 @@ func TestObserveConcurrentWithDecides(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestObserveStatsVersionMonotoneUnderConcurrentRetunes: concurrent
+// observe batches on one area keep firing CUSUM re-tunes. Each observe
+// record must carry a stats version no older than its stream
+// predecessor's, so the strict audit replay finds no regression.
+func TestObserveStatsVersionMonotoneUnderConcurrentRetunes(t *testing.T) {
+	audit := &syncBuffer{}
+	s, err := New(Config{Areas: testAreas(), AuditLog: audit, Retune: retuneTestConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const clients, batches, size = 4, 40, 8
+	var retunes atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan string, clients)
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < batches; k++ {
+				// Regimes alternate every two batches, so the detector
+				// re-baselines and alarms again throughout the run.
+				stop := 5
+				if k/2%2 == 1 {
+					stop = 26
+				}
+				items := make([]string, size)
+				for i := range items {
+					items[i] = fmt.Sprintf(`{"area":"chicago","stop_sec":%d}`, stop+i%3)
+				}
+				body := `{"observations":[` + strings.Join(items, ",") + `]}`
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/observe/batch", strings.NewReader(body)))
+				var resp BatchObserveResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || resp.Accepted != size {
+					errs <- fmt.Sprintf("client %d batch %d: status %d: %s", c, k, w.Code, w.Body.String())
+					return
+				}
+				retunes.Add(int64(resp.Retunes))
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if err := s.closeLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if n := retunes.Load(); n < 5 {
+		t.Fatalf("only %d re-tunes fired; the run does not exercise concurrent re-tunes", n)
+	}
+	if n := s.auditW.Dropped(); n != 0 {
+		t.Fatalf("audit writer dropped %d records", n)
+	}
+	rep, err := VerifyAudit(strings.NewReader(audit.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := clients * batches * size; !rep.OK() || rep.Records != want || rep.Matched != want {
+		t.Errorf("verify report %+v, want %d/%d matched", rep, want, want)
 	}
 }

@@ -441,7 +441,7 @@ func TestPoliciesEndpoint(t *testing.T) {
 // lazy non-default fill, isolation between engines, and invalidation
 // by stats updates.
 func TestCacheEngineKeyIsolation(t *testing.T) {
-	c, err := NewCache(testAreas(), nil)
+	c, err := NewShardedCache(testAreas(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"idlereduce/internal/policy"
 	"idlereduce/internal/skirental"
 )
 
@@ -51,37 +52,122 @@ func TestShardedCachePlacement(t *testing.T) {
 	}
 }
 
-// TestShardUpdateIsolated: a stats update swaps exactly one area's
-// snapshot. Other shards keep serving their old pointers untouched, so
-// a retune cannot stall or perturb unrelated traffic.
-func TestShardUpdateIsolated(t *testing.T) {
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// viewsOf returns every area's current view, keyed by area ID.
+func viewsOf(c *Cache) map[string]*areaView {
+	out := make(map[string]*areaView, c.Len())
+	for _, sh := range c.shards {
+		for id, p := range sh.views {
+			out[id] = p.Load()
+		}
+	}
+	return out
+}
+
+// TestAreaWriteIsolated: a stats update or a lazy engine fill
+// publishes a fresh view of exactly the target area. Every other area
+// — including the target's shard-mates — keeps its view pointer, so a
+// write neither copies nor perturbs unrelated areas.
+func TestAreaWriteIsolated(t *testing.T) {
 	areas := SyntheticAreaStates(64, 28)
 	c, err := NewShardedCache(areas, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := areas[0].ID
-	own := c.shardFor(target)
-	before := make(map[*shard]*snapshot, len(c.shards))
-	for _, sh := range c.shards {
-		before[sh] = sh.snap.Load()
+	ms, err := policy.Lookup(policy.MultislopeEngine)
+	if err != nil {
+		t.Fatal(err)
 	}
+	target := areas[0].ID
+	mates := 0
+	for _, a := range areas[1:] {
+		if c.shardFor(a.ID) == c.shardFor(target) {
+			mates++
+		}
+	}
+	if mates == 0 {
+		t.Fatal("fixture has no shard-mate of the target area")
+	}
+	check := func(op string, before map[string]*areaView) {
+		t.Helper()
+		for id, v := range viewsOf(c) {
+			if republished := v != before[id]; republished != (id == target) {
+				t.Errorf("%s of %s: area %s republished = %v", op, target, id, republished)
+			}
+		}
+	}
+
 	rec, _ := c.Area(target)
+	before := viewsOf(c)
 	if _, err := c.Update(target, 0,
 		skirental.Stats{MuBMinus: rec.state.Mu + 0.5, QBPlus: rec.state.Q}); err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range c.shards {
-		swapped := sh.snap.Load() != before[sh]
-		if sh == own && !swapped {
-			t.Error("owning shard's snapshot was not swapped")
-		}
-		if sh != own && swapped {
-			t.Errorf("update of %s swapped an unrelated shard's snapshot", target)
-		}
+	check("update", before)
+	rec2, _ := c.Area(target)
+	if rec2.version != rec.version+1 {
+		t.Fatalf("target version %d, want %d", rec2.version, rec.version+1)
 	}
-	if got, _ := c.Area(target); got.version != rec.version+1 {
-		t.Fatalf("target version %d, want %d", got.version, rec.version+1)
+
+	before = viewsOf(c)
+	st, err := c.Strategy(rec2, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("lazy fill", before)
+	filled := viewsOf(c)[target]
+	if filled.rec != rec2 || len(filled.entries) != len(before[target].entries)+1 || filled.entries[len(filled.entries)-1] != st {
+		t.Errorf("lazy fill view: rec %p (want %p), %d entries (want %d)",
+			filled.rec, rec2, len(filled.entries), len(before[target].entries)+1)
+	}
+}
+
+// TestCacheWriteAllocsIndependentOfAreaCount is the scale guard on the
+// write path: one stats update, and one update plus a lazy engine
+// fill, allocate the same on a 1k-area cache as on a 100k-area cache.
+// A write that copied per-shard state would allocate more with more
+// areas.
+func TestCacheWriteAllocsIndependentOfAreaCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	ms, err := policy.Lookup(policy.MultislopeEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(n int) (update, fill float64) {
+		c, err := NewShardedCache(SyntheticAreaStates(n, 28), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := SyntheticAreaStates(1, 28)[0].ID
+		rec, _ := c.Area(id)
+		s := rec.state.Stats()
+		update = testing.AllocsPerRun(200, func() {
+			if _, err := c.Update(id, 0, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fill = testing.AllocsPerRun(200, func() {
+			def, err := c.Update(id, 0, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Strategy(def.rec, ms); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return update, fill
+	}
+	smallU, smallF := measure(1_000)
+	largeU, largeF := measure(100_000)
+	if smallU != largeU {
+		t.Errorf("Update allocs: %v at 1k areas, %v at 100k", smallU, largeU)
+	}
+	if smallF != largeF {
+		t.Errorf("Update+lazy fill allocs: %v at 1k areas, %v at 100k", smallF, largeF)
 	}
 }
 

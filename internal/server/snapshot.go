@@ -183,8 +183,8 @@ func trailingJSON(dec *json.Decoder) error {
 }
 
 // StatePlane captures the server's current state plane: every area's
-// statistics, version, and observation stream. Each shard is read from
-// its current snapshot and each tracker under its observer lock, so
+// statistics, version, and observation stream. Each area is read from
+// its current cache view and each tracker under its observer lock, so
 // the capture is consistent per area (the unit of restore) without
 // stopping the world.
 func (s *Server) StatePlane() StatePlane {
@@ -213,7 +213,7 @@ func (s *Server) StatePlane() StatePlane {
 }
 
 // restoreState applies a validated state plane to the live server:
-// the strategy cache swaps per shard (all-or-nothing validation first)
+// the strategy cache publishes per area (all-or-nothing validation first)
 // and each area's observation stream is rebuilt from its tracker
 // state. Areas absent from the snapshot keep their current state.
 func (s *Server) restoreState(p StatePlane) error {
