@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 # into the toolchain; bump deliberately alongside Go upgrades.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check ci build vet test race fmt-check staticcheck cover \
+.PHONY: check ci build vet test race perfbench-test fmt-check staticcheck cover \
 	fuzz-smoke bench-smoke bench bench-metrics bench-parallel \
 	bench-capture bench-compare bench-gate loadtest-gate loadtest-bless \
 	clean
@@ -19,7 +19,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 check: ci
 
 ## ci: mirror of the GitHub workflow jobs, step for step.
-ci: vet fmt-check build test race fuzz-smoke staticcheck bench-gate loadtest-gate
+ci: vet fmt-check build test race perfbench-test fuzz-smoke staticcheck bench-gate loadtest-gate
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+## perfbench-test: the repository benchmark's own tests (plan
+## determinism, the oracle rejecting perturbed replies, the metric names
+## in BENCHMARK.json). perfbench/ is a module of its own, so the root
+## `go test ./...` never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 ## fmt-check: fail when any file needs gofmt (CI's formatting gate).
 fmt-check:

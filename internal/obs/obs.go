@@ -21,30 +21,42 @@
 //	reg.WriteJSON(os.Stdout)
 package obs
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // L formats a metric name with label pairs in Prometheus style:
 //
 //	L("sim_stops_total", "policy", "DET") == `sim_stops_total{policy="DET"}`
 //
 // Keys and values are emitted in argument order; an odd trailing key is
-// ignored. Values containing '"' are escaped.
+// ignored. Values are quoted as Go string literals (strconv.Quote), so
+// quotes, backslashes and control characters are escaped. L runs on request
+// paths, so it builds the name in one pre-sized buffer: the returned
+// string is its only allocation.
 func L(name string, kv ...string) string {
 	if len(kv) < 2 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	// '{' and '}' plus, per pair, '=', two quotes and a ',' separator;
+	// escapes beyond that only grow the buffer.
+	n := len(name) + 2
+	for i := 0; i+1 < len(kv); i += 2 {
+		n += len(kv[i]) + len(kv[i+1]) + 4
+	}
+	var stack [128]byte
+	b := stack[:0]
+	if n > len(stack) {
+		b = make([]byte, 0, n)
+	}
+	b = append(b, name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, kv[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }

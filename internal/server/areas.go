@@ -47,12 +47,16 @@ func SyntheticAreaStates(n int, b float64) []AreaState {
 
 // ReadAreaStates parses an -areas config file: a JSON array of
 // {"id", "b", "mu", "q"} objects. Every entry is validated; unknown
-// fields are rejected so config typos fail loudly at boot.
+// fields and data after the array are rejected so config typos fail
+// loudly at boot.
 func ReadAreaStates(r io.Reader) ([]AreaState, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var areas []AreaState
 	if err := dec.Decode(&areas); err != nil {
+		return nil, fmt.Errorf("server: decode areas config: %w", err)
+	}
+	if err := trailingJSON(dec); err != nil {
 		return nil, fmt.Errorf("server: decode areas config: %w", err)
 	}
 	if len(areas) == 0 {

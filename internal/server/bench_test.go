@@ -52,6 +52,26 @@ func BenchmarkDecideObsOn(b *testing.B) {
 	benchDecide(b, Config{TraceLog: io.Discard, AuditLog: io.Discard})
 }
 
+// benchBootAreas is the area count of BenchmarkNewServer: large enough
+// that per-area boot work dominates, small enough that a 100-iteration
+// smoke pass stays a few seconds.
+const benchBootAreas = 10_000
+
+// BenchmarkNewServer measures booting a server (New) on
+// benchBootAreas areas: validating and preparing every area's eager
+// strategies and building its slot. B/op and allocs/op are the boot
+// footprint per server.
+func BenchmarkNewServer(b *testing.B) {
+	areas := SyntheticAreaStates(benchBootAreas, 28)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Config{Areas: areas}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchCacheAreas is the area count of the cache write benchmarks: the
 // fleet scale at which a write that copied per-shard state would show.
 const benchCacheAreas = 100_000

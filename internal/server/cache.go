@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,16 +59,11 @@ func (a AreaState) Validate() error {
 }
 
 // areaRec is the per-area serving record shared by every engine's
-// cache entries: the current state, its statistics version, and the
-// pre-formatted attribution metric names (decide_area_ms{area=...} /
-// decide_area_total{...}) built once so the decide hot path never
-// formats labels. Records are immutable; a stats update builds a fresh
-// one.
+// cache entries: the current state and its statistics version. Records
+// are immutable; a stats update builds a fresh one.
 type areaRec struct {
-	state     AreaState
-	version   uint64
-	latMetric string
-	cntMetric string
+	state   AreaState
+	version uint64
 }
 
 // newAreaRec validates and normalizes one area state.
@@ -76,12 +72,7 @@ func newAreaRec(state AreaState, version uint64) (*areaRec, error) {
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
-	return &areaRec{
-		state:     state,
-		version:   version,
-		latMetric: obs.L("decide_area_ms", "area", state.ID),
-		cntMetric: obs.L("decide_area_total", "area", state.ID),
-	}, nil
+	return &areaRec{state: state, version: version}, nil
 }
 
 // areaKey normalizes an area ID to its lookup key (case-insensitive,
@@ -184,14 +175,54 @@ func (v *areaView) find(engine string, hash uint64) *strategy {
 	return nil
 }
 
+// areaSlot is one configured area's resident serving state, the single
+// per-area record of the daemon. At boot it holds only the published
+// view; the observation tracker is built on the area's first observe
+// and the attribution metric names on its first decide, so an area
+// that is configured but never used costs its view and nothing more.
+type areaSlot struct {
+	// view is the area's current generation, replaced whole by every
+	// write.
+	view atomic.Pointer[areaView]
+	// obs is the area's observation stream (see observe.go).
+	obs observer
+	// names holds the pre-formatted decide_area_ms / decide_area_total
+	// names, published once by metricNames and kept across stats
+	// versions (the area ID never changes).
+	names atomic.Pointer[areaNames]
+}
+
+// areaNames is an area's pair of per-area attribution metric names.
+type areaNames struct {
+	lat, cnt string
+}
+
+// metricNames returns the area's attribution metric names, formatting
+// them on first use. Racing first decides may each format a pair; one
+// is published and every caller returns that one.
+func (sl *areaSlot) metricNames() *areaNames {
+	if n := sl.names.Load(); n != nil {
+		return n
+	}
+	id := sl.view.Load().rec.state.ID
+	n := &areaNames{
+		lat: obs.L("decide_area_ms", "area", id),
+		cnt: obs.L("decide_area_total", "area", id),
+	}
+	if sl.names.CompareAndSwap(nil, n) {
+		return n
+	}
+	return sl.names.Load()
+}
+
 // shard stripes the cache's writer mutexes and its hit/miss counters
-// over the area keyspace. views is built at boot and never changes
+// over the area keyspace. slots is built at boot and never changes
 // afterwards (the serving area set is fixed), so readers index it
-// without a lock; each area's current view sits behind its own atomic
-// pointer.
+// without a lock; each area's current view sits behind its slot's
+// atomic pointer.
 type shard struct {
 	mu    sync.Mutex // serializes writes to this shard's areas
-	views map[string]*atomic.Pointer[areaView]
+	slots map[string]*areaSlot
 	// hitMetric / missMetric are the pre-formatted per-shard cache
 	// counters (decide_shard_hits_total{shard=N} and the miss twin), so
 	// per-shard hit-rate attribution costs the hot path no formatting.
@@ -204,28 +235,31 @@ type shard struct {
 // rarely wait on one another.
 const DefaultShards = 16
 
-// Cache is the read-mostly strategy cache. Each area owns an atomic
-// pointer to an immutable areaView; a read is one pointer load plus a
-// scan of the area's few entries — no locks on the decide path. A
-// write (stats update, re-tune, restore or lazy engine fill) prepares
-// its strategies first, then publishes one fresh view for each area it
-// touches, copying only that area's entries: its cost does not grow
-// with the number of areas, and every other area keeps its view
-// pointer untouched. Areas are placed on shards by hash; a shard only
-// stripes the writer mutexes and splits the hit/miss counters.
+// Cache is the read-mostly strategy cache and the owner of every
+// area's slot. Each slot holds an atomic pointer to an immutable
+// areaView; a read is one pointer load plus a scan of the area's few
+// entries — no locks on the decide path. A write (stats update,
+// re-tune, restore or lazy engine fill) prepares its strategies first,
+// then publishes one fresh view for each area it touches, copying only
+// that area's entries: its cost does not grow with the number of
+// areas, and every other area keeps its view pointer untouched. Areas
+// are placed on shards by hash; a shard only stripes the writer
+// mutexes and splits the hit/miss counters.
 //
 // Entries for the eager engines (the registry default plus the
 // daemon's serving default) are prepared at boot and on every stats
 // update, so a misconfigured server never starts and default-path
 // requests never pay a prepare. Other engines fill in lazily on first
-// use and are invalidated by stats updates.
+// use and are invalidated by stats updates. An area's observation
+// tracker and per-area metric names live in its slot too, but are
+// built on first use, not at boot.
 type Cache struct {
 	shards []*shard
 	mask   uint64
 	eager  []policy.Engine
-	// order holds every area's view pointer sorted by area ID, for the
-	// listings.
-	order []*atomic.Pointer[areaView]
+	// slots holds every area's slot sorted by area ID, for the listings
+	// and the state plane; the shard maps point into it.
+	slots []areaSlot
 }
 
 // NewShardedCache builds the cache from the boot-time area states,
@@ -235,21 +269,22 @@ type Cache struct {
 // the shard count is invisible on the wire — decisions are
 // byte-identical for every value.
 func NewShardedCache(areas []AreaState, eager []policy.Engine, shards int) (*Cache, error) {
-	recs := make([]*areaRec, 0, len(areas))
-	seen := make(map[string]bool, len(areas))
-	for _, a := range areas {
+	recs := make([]*areaRec, len(areas))
+	for i, a := range areas {
 		rec, err := newAreaRec(a, 1)
 		if err != nil {
 			return nil, err
 		}
-		if seen[rec.state.ID] {
-			return nil, fmt.Errorf("server: duplicate area id %q", rec.state.ID)
-		}
-		seen[rec.state.ID] = true
-		recs = append(recs, rec)
+		recs[i] = rec
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("server: no areas configured")
+	}
+	slices.SortFunc(recs, func(a, b *areaRec) int { return strings.Compare(a.state.ID, b.state.ID) })
+	for i := 1; i < len(recs); i++ {
+		if recs[i].state.ID == recs[i-1].state.ID {
+			return nil, fmt.Errorf("server: duplicate area id %q", recs[i].state.ID)
+		}
 	}
 	n := shardCount(shards)
 	def, _ := policy.Get(policy.DefaultEngine)
@@ -263,25 +298,23 @@ func NewShardedCache(areas []AreaState, eager []policy.Engine, shards int) (*Cac
 		shards: make([]*shard, n),
 		mask:   uint64(n - 1),
 		eager:  engines,
-		order:  make([]*atomic.Pointer[areaView], 0, len(recs)),
+		slots:  make([]areaSlot, len(recs)),
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			views:      make(map[string]*atomic.Pointer[areaView], len(recs)/n+1),
+			slots:      make(map[string]*areaSlot, len(recs)/n+1),
 			hitMetric:  obs.L("decide_shard_hits_total", "shard", strconv.Itoa(i)),
 			missMetric: obs.L("decide_shard_misses_total", "shard", strconv.Itoa(i)),
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].state.ID < recs[j].state.ID })
-	for _, rec := range recs {
+	for i, rec := range recs {
 		entries, err := c.prepareEager(rec)
 		if err != nil {
 			return nil, err
 		}
-		p := new(atomic.Pointer[areaView])
-		p.Store(&areaView{rec: rec, entries: entries})
-		c.shardFor(rec.state.ID).views[rec.state.ID] = p
-		c.order = append(c.order, p)
+		sl := &c.slots[i]
+		sl.view.Store(&areaView{rec: rec, entries: entries})
+		c.shardFor(rec.state.ID).slots[rec.state.ID] = sl
 	}
 	return c, nil
 }
@@ -306,14 +339,22 @@ func (c *Cache) shardFor(id string) *shard {
 	return c.shards[areaHash(id)&c.mask]
 }
 
+// slot returns an area's slot (case-insensitive). The slot set is the
+// boot-fixed area set, so this is the existence check of every
+// per-area operation.
+func (c *Cache) slot(id string) (*areaSlot, bool) {
+	key := areaKey(id)
+	sl, ok := c.shardFor(key).slots[key]
+	return sl, ok
+}
+
 // view returns the current view of an area (case-insensitive).
 func (c *Cache) view(id string) (*areaView, bool) {
-	key := areaKey(id)
-	p, ok := c.shardFor(key).views[key]
+	sl, ok := c.slot(id)
 	if !ok {
 		return nil, false
 	}
-	return p.Load(), true
+	return sl.view.Load(), true
 }
 
 // prepare builds one cache entry with the default parameterization.
@@ -397,17 +438,24 @@ func (c *Cache) Strategy(rec *areaRec, eng policy.Engine) (*strategy, error) {
 // rec into its reply and audit record describes exactly the strategy
 // it served.
 func (c *Cache) StrategyParams(rec *areaRec, eng policy.Engine, params map[string]float64) (*strategy, error) {
-	sh := c.shardFor(rec.state.ID)
-	p, ok := sh.views[rec.state.ID]
+	sl, ok := c.shardFor(rec.state.ID).slots[rec.state.ID]
 	if !ok {
 		return nil, fmt.Errorf("server: unknown area %q", rec.state.ID)
 	}
+	return c.strategyIn(sl, rec, eng, params)
+}
+
+// strategyIn is StrategyParams for a caller that already holds the
+// area's slot.
+func (c *Cache) strategyIn(sl *areaSlot, rec *areaRec, eng policy.Engine, params map[string]float64) (*strategy, error) {
+	p := &sl.view
 	name, hash := eng.Name(), paramsHash(rec.state.B, params)
 	if v := p.Load(); v.rec == rec {
 		if st := v.find(name, hash); st != nil {
 			return st, nil
 		}
 	}
+	sh := c.shardFor(rec.state.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Re-check under the lock: another request may have filled the
@@ -439,10 +487,11 @@ func (c *Cache) StrategyParams(rec *areaRec, eng policy.Engine, params map[strin
 func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, error) {
 	key := areaKey(id)
 	sh := c.shardFor(key)
-	p, ok := sh.views[key]
+	sl, ok := sh.slots[key]
 	if !ok {
 		return nil, fmt.Errorf("server: unknown area %q", id)
 	}
+	p := &sl.view
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	prev := p.Load().rec
@@ -453,14 +502,7 @@ func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, erro
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
-	// The ID is unchanged, so the previous record's pre-formatted
-	// metric labels carry over instead of being re-rendered.
-	rec := &areaRec{
-		state:     state,
-		version:   prev.version + 1,
-		latMetric: prev.latMetric,
-		cntMetric: prev.cntMetric,
-	}
+	rec := &areaRec{state: state, version: prev.version + 1}
 	entries, err := c.prepareEager(rec)
 	if err != nil {
 		return nil, err
@@ -497,7 +539,7 @@ func (c *Cache) Restore(entries []AreaSnapshot) error {
 		}
 		seen[rec.state.ID] = true
 		sh := c.shardFor(rec.state.ID)
-		p, ok := sh.views[rec.state.ID]
+		sl, ok := sh.slots[rec.state.ID]
 		if !ok {
 			return fmt.Errorf("server: restore: unknown area %q (the serving set is fixed at boot)", rec.state.ID)
 		}
@@ -505,7 +547,7 @@ func (c *Cache) Restore(entries []AreaSnapshot) error {
 		if err != nil {
 			return err
 		}
-		stage = append(stage, staged{sh: sh, p: p, view: &areaView{rec: rec, entries: prepared}})
+		stage = append(stage, staged{sh: sh, p: &sl.view, view: &areaView{rec: rec, entries: prepared}})
 	}
 	for _, st := range stage {
 		st.sh.mu.Lock()
@@ -517,21 +559,21 @@ func (c *Cache) Restore(entries []AreaSnapshot) error {
 
 // Areas returns every area record sorted by ID.
 func (c *Cache) Areas() []*areaRec {
-	out := make([]*areaRec, len(c.order))
-	for i, p := range c.order {
-		out[i] = p.Load().rec
+	out := make([]*areaRec, len(c.slots))
+	for i := range c.slots {
+		out[i] = c.slots[i].view.Load().rec
 	}
 	return out
 }
 
 // List returns every area's default-engine strategy sorted by ID.
 func (c *Cache) List() []*strategy {
-	out := make([]*strategy, len(c.order))
-	for i, p := range c.order {
-		out[i] = p.Load().entries[0]
+	out := make([]*strategy, len(c.slots))
+	for i := range c.slots {
+		out[i] = c.slots[i].view.Load().entries[0]
 	}
 	return out
 }
 
 // Len returns the number of configured areas.
-func (c *Cache) Len() int { return len(c.order) }
+func (c *Cache) Len() int { return len(c.slots) }

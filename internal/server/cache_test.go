@@ -168,3 +168,24 @@ func TestReadWriteAreaStates(t *testing.T) {
 		t.Error("infeasible config accepted")
 	}
 }
+
+// TestReadAreaStatesRejectsTrailingData: a config file holds exactly one
+// array. A stray bracket or a second array appended to the file fails
+// boot instead of silently serving the first array; trailing
+// whitespace is fine.
+func TestReadAreaStatesRejectsTrailingData(t *testing.T) {
+	const one = `[{"id":"x","b":28,"mu":1,"q":0.1}]`
+	for name, body := range map[string]string{
+		"stray bracket": one + `]`,
+		"stray brace":   one + `}`,
+		"second array":  one + "\n" + `[{"id":"y","b":28,"mu":1,"q":0.1}]`,
+		"garbage":       one + ` x`,
+	} {
+		if _, err := ReadAreaStates(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s: err = %v, want a trailing-data error", name, err)
+		}
+	}
+	if _, err := ReadAreaStates(strings.NewReader(one + " \n\t\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}

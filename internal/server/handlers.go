@@ -140,13 +140,14 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		}
 		pred = &p
 	}
-	rec, ok := s.cache.Area(req.Area)
+	sl, ok := s.cache.slot(req.Area)
 	if !ok {
 		return nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
 	}
-	// Per-area latency attribution: the area record carries its
-	// pre-formatted metric names, so the hot path pays two map lookups
-	// and a clock read, never a label format.
+	rec := sl.view.Load().rec
+	// Per-area latency attribution: the slot formats the area's metric
+	// names on its first decide and keeps them, so the hot path pays
+	// two map lookups and a clock read, never a label format.
 	t0 := time.Now()
 
 	// Cache hit: the request uses the area's default break-even
@@ -163,7 +164,7 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		// since the lookup above yields an uncached strategy for rec, not
 		// one for the newer record — so the reply and audit record below
 		// describe exactly the strategy served.
-		entry, err := s.cache.StrategyParams(rec, eng, params)
+		entry, err := s.cache.strategyIn(sl, rec, eng, params)
 		if err != nil {
 			return nil, enginePrepareError(eng, rec.state.ID, b, err)
 		}
@@ -207,8 +208,9 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	}
 	s.rec.Add(obs.L("decide_total", "choice", dec.Choice), 1)
 	s.rec.Observe("decide_threshold_sec", dec.ThresholdSec)
-	s.rec.Add(rec.cntMetric, 1)
-	s.rec.Observe(rec.latMetric, float64(time.Since(t0))/float64(time.Millisecond))
+	names := sl.metricNames()
+	s.rec.Add(names.cnt, 1)
+	s.rec.Observe(names.lat, float64(time.Since(t0))/float64(time.Millisecond))
 	if s.tracer != nil {
 		if sp := obs.SpanFrom(ctx); sp != nil {
 			sp.Set("area", rec.state.ID)

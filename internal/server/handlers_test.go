@@ -133,6 +133,38 @@ func TestDecideValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBodiesRejectTrailingData: every JSON request body holds exactly
+// one value. A stray closing bracket or brace after it, which
+// Decoder.More alone lets through, is a 400 bad_request like any other
+// trailing data, with the usual "decode request: " message.
+func TestBodiesRejectTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	routes := []struct{ method, path, body string }{
+		{"POST", "/v1/decide", `{"vehicle_id":"v","area":"chicago"}`},
+		{"POST", "/v1/decide/batch", `{"requests":[{"vehicle_id":"v","area":"chicago"}]}`},
+		{"POST", "/v1/observe", `{"area":"chicago","stop_sec":12}`},
+		{"POST", "/v1/observe/batch", `{"observations":[{"area":"chicago","stop_sec":12}]}`},
+		{"PUT", "/v1/areas/chicago/stats", `{"mu":5,"q":0.5}`},
+	}
+	for _, rt := range routes {
+		if status, raw := doJSON(t, rt.method, ts.URL+rt.path, rt.body+"\n", nil); status != http.StatusOK {
+			t.Fatalf("%s %s: clean body got %d: %s", rt.method, rt.path, status, raw)
+		}
+		for _, tail := range []string{"]", "}", `{"x":1}`, " x"} {
+			status, raw := doJSON(t, rt.method, ts.URL+rt.path, rt.body+tail, nil)
+			var e ErrorResponse
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("%s %s + %q: not a structured error: %q", rt.method, rt.path, tail, raw)
+			}
+			if status != http.StatusBadRequest || e.Error.Code != "bad_request" ||
+				!strings.HasPrefix(e.Error.Message, "decode request: ") {
+				t.Errorf("%s %s + %q: %d %+v, want 400 bad_request \"decode request: ...\"",
+					rt.method, rt.path, tail, status, e.Error)
+			}
+		}
+	}
+}
+
 func TestBatchOrderAndEmbeddedErrors(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.Workers = 4 })
 	body := `{"seed":9,"requests":[

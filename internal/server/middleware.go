@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -12,8 +13,20 @@ import (
 	"idlereduce/internal/obs"
 )
 
-// errTrailingBody rejects request bodies with data after the JSON value.
-var errTrailingBody = errors.New("request body contains trailing data")
+// errTrailingJSON rejects JSON input with data after its value.
+var errTrailingJSON = errors.New("trailing data after JSON value")
+
+// trailingJSON checks that dec holds nothing but whitespace after the
+// value it decoded. Every JSON input the server reads (request bodies,
+// the -areas file, snapshots) goes through it. Decoder.More is not
+// enough: it reports false before a stray ']' or '}', so `{...}]`
+// would pass.
+func trailingJSON(dec *json.Decoder) error {
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingJSON
+	}
+	return nil
+}
 
 // statusWriter captures the status code written by a handler so the
 // middleware can label its metrics.
@@ -136,8 +149,5 @@ func decodeJSON(r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
-		return errTrailingBody
-	}
-	return nil
+	return trailingJSON(dec)
 }

@@ -65,41 +65,38 @@ func (c RetuneConfig) streamConfig(b float64) adaptive.StreamConfig {
 	}
 }
 
-// observer is one area's streaming estimator. Observations on the
-// same area serialize on mu so the stream is a deterministic function
-// of the observation order; observations on different areas never
-// contend.
+// validate checks the defaulted config by building one tracker: the
+// trackers themselves are built per area on first observe, so a bad
+// config must fail boot here rather than the first observation.
+// Every served break-even interval is positive and finite, so the
+// interval used here decides nothing.
+func (c RetuneConfig) validate() error {
+	if _, err := adaptive.NewTracker(c.streamConfig(1)); err != nil {
+		return fmt.Errorf("server: retune config: %w", err)
+	}
+	return nil
+}
+
+// observer is one area's streaming estimator, held in the area's
+// slot. tr stays nil until the area's first observation, and a nil
+// tracker is the same stream as a fresh one (it snapshots as the zero
+// adaptive.TrackerState). Observations on the same area serialize on
+// mu so the stream is a deterministic function of the observation
+// order; observations on different areas never contend.
 type observer struct {
 	mu sync.Mutex
 	tr *adaptive.Tracker
 }
 
-// observerSet holds the per-area observers. The area set is fixed at
-// boot, so the map itself is read-only after construction; all
-// mutation happens inside each observer under its own lock.
-type observerSet struct {
-	cfg RetuneConfig
-	m   map[string]*observer
-}
-
-// newObserverSet builds one tracker per boot-time area.
-func newObserverSet(cfg RetuneConfig, areas []*areaRec) (*observerSet, error) {
-	cfg = cfg.withDefaults()
-	set := &observerSet{cfg: cfg, m: make(map[string]*observer, len(areas))}
-	for _, rec := range areas {
-		tr, err := adaptive.NewTracker(cfg.streamConfig(rec.state.B))
-		if err != nil {
-			return nil, fmt.Errorf("server: observer for area %s: %w", rec.state.ID, err)
-		}
-		set.m[rec.state.ID] = &observer{tr: tr}
+// state exports the stream for a snapshot of an area served at
+// break-even b. A stream not yet started, or left at a stale interval
+// (it restarts on the next observation anyway), is "no stream": the
+// zero state. The caller holds mu.
+func (o *observer) state(b float64) adaptive.TrackerState {
+	if o.tr == nil || o.tr.B() != b {
+		return adaptive.TrackerState{}
 	}
-	return set, nil
-}
-
-// get returns an area's observer (IDs are normalized by the caller).
-func (s *observerSet) get(id string) (*observer, bool) {
-	o, ok := s.m[id]
-	return o, ok
+	return o.tr.State()
 }
 
 // observe applies one validated observation to an area's stream and
@@ -117,10 +114,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 			return nil, &APIError{Code: "invalid_prediction", Message: err.Error(), Status: http.StatusBadRequest}
 		}
 	}
-	// The observer set is the boot-fixed area set, so it doubles as the
-	// existence check.
-	id := areaKey(req.Area)
-	o, ok := s.observers.get(id)
+	sl, ok := s.cache.slot(req.Area)
 	if !ok {
 		return nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
 	}
@@ -154,22 +148,19 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 		}
 	}
 
+	o := &sl.obs
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	// Read the record under the observer lock: re-tunes of this area
 	// run under the same lock, so the version stamped below is never
 	// older than one an earlier observe of the stream already recorded.
-	rec, ok := s.cache.Area(id)
-	if !ok {
-		// Unreachable: the cache and the observers share the boot-fixed
-		// area set. Fail loudly if the invariant ever breaks.
-		return nil, &APIError{Code: "internal", Message: fmt.Sprintf("no cache record for area %q", id), Status: http.StatusInternalServerError}
-	}
-	// A stats update may have moved the area's break-even interval;
-	// the moments are only meaningful at one B, so the stream restarts
-	// against the new interval.
-	if o.tr.B() != rec.state.B {
-		tr, err := adaptive.NewTracker(s.observers.cfg.streamConfig(rec.state.B))
+	rec := sl.view.Load().rec
+	// The area's first observation starts its stream. A stats update
+	// may also have moved the break-even interval; the moments are only
+	// meaningful at one B, so the stream restarts against the new
+	// interval.
+	if o.tr == nil || o.tr.B() != rec.state.B {
+		tr, err := adaptive.NewTracker(s.retune.streamConfig(rec.state.B))
 		if err != nil {
 			return nil, &APIError{Code: "internal", Message: err.Error(), Status: http.StatusInternalServerError}
 		}
@@ -203,7 +194,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 	if up.Alarm {
 		resp.Alarm = true
 		s.rec.Add("retune_alarms_total", 1)
-		if up.Warm && !s.observers.cfg.Disabled {
+		if up.Warm && !s.retune.Disabled {
 			def, uerr := s.cache.Update(rec.state.ID, 0, up.Stats)
 			if uerr != nil {
 				// The estimates are feasible by construction, so a
@@ -261,7 +252,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 			Area:         rec.state.ID,
 			Seq:          up.Seen,
 			B:            rec.state.B,
-			Forgetting:   s.observers.cfg.Forgetting,
+			Forgetting:   s.retune.Forgetting,
 			StopSec:      req.StopSec,
 			PrevW:        up.PrevWSum,
 			PrevMuSum:    up.PrevMuSum,

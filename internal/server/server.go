@@ -175,15 +175,15 @@ func (c Config) withDefaults() Config {
 // Server is one idled instance: the strategy cache, the HTTP handler
 // tree and the serving lifecycle.
 type Server struct {
-	cfg       Config
-	cache     *Cache
-	observers *observerSet
-	engine    policy.Engine
-	ledger    *ledger.Ledger
-	rec       *obs.Recorder
-	inflight  chan struct{}
-	start     time.Time
-	handler   http.Handler
+	cfg      Config
+	cache    *Cache
+	retune   RetuneConfig // cfg.Retune with defaults applied
+	engine   policy.Engine
+	ledger   *ledger.Ledger
+	rec      *obs.Recorder
+	inflight chan struct{}
+	start    time.Time
+	handler  http.Handler
 
 	// tracer/auditW are the request-forensics sinks (nil when the
 	// corresponding Config writer is nil); sampler backs /v1/history.
@@ -204,12 +204,18 @@ type Server struct {
 
 // New builds a server. It validates and precomputes every configured
 // area strategy — for the registry default engine and the daemon's
-// DefaultPolicy engine — so a misconfigured server never starts.
+// DefaultPolicy engine — and validates the retune config, so a
+// misconfigured server never starts. Observation trackers and per-area
+// metric names are built on each area's first use.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng, err := policy.Lookup(cfg.DefaultPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("server: default policy: %w", err)
+	}
+	retune := cfg.Retune.withDefaults()
+	if err := retune.validate(); err != nil {
+		return nil, err
 	}
 	areas := cfg.Areas
 	if cfg.Restore != nil {
@@ -227,19 +233,15 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	observers, err := newObserverSet(cfg.Retune, cache.Areas())
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		cfg:       cfg,
-		cache:     cache,
-		observers: observers,
-		engine:    eng,
-		ledger:    ledger.New(cfg.Ledger),
-		rec:       cfg.Recorder,
-		inflight:  make(chan struct{}, cfg.MaxInflight),
-		start:     time.Now(),
+		cfg:      cfg,
+		cache:    cache,
+		retune:   retune,
+		engine:   eng,
+		ledger:   ledger.New(cfg.Ledger),
+		rec:      cfg.Recorder,
+		inflight: make(chan struct{}, cfg.MaxInflight),
+		start:    time.Now(),
 	}
 	if cfg.Restore != nil {
 		// Re-apply the full plane so versions and trackers resume; the
@@ -248,6 +250,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	// The cache now holds the area set; the boot inputs would only pin
+	// their memory for the daemon's lifetime.
+	s.cfg.Areas, s.cfg.Restore = nil, nil
 	s.bootID = fmt.Sprintf("%08x", uint32(s.start.UnixNano()))
 	if cfg.TraceLog != nil {
 		s.tracer = obs.NewTracer(obs.NewJSONLWriter(cfg.TraceLog, 4096))

@@ -59,8 +59,8 @@ var raceEnabled bool
 func viewsOf(c *Cache) map[string]*areaView {
 	out := make(map[string]*areaView, c.Len())
 	for _, sh := range c.shards {
-		for id, p := range sh.views {
-			out[id] = p.Load()
+		for id, sl := range sh.slots {
+			out[id] = sl.view.Load()
 		}
 	}
 	return out

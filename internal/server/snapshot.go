@@ -147,7 +147,7 @@ func DecodeSnapshot(data []byte) (StatePlane, error) {
 		return StatePlane{}, fmt.Errorf("server: snapshot decode: %w", err)
 	}
 	if err := trailingJSON(dec); err != nil {
-		return StatePlane{}, err
+		return StatePlane{}, fmt.Errorf("server: snapshot decode: %w", err)
 	}
 	if env.Format != snapshotFormat {
 		return StatePlane{}, fmt.Errorf("server: snapshot decode: format %q is not %q", env.Format, snapshotFormat)
@@ -173,38 +173,23 @@ func DecodeSnapshot(data []byte) (StatePlane, error) {
 	return p, nil
 }
 
-// trailingJSON rejects bytes after the envelope object (a concatenated
-// or corrupted file).
-func trailingJSON(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("server: snapshot decode: trailing data after envelope")
-	}
-	return nil
-}
-
 // StatePlane captures the server's current state plane: every area's
-// statistics, version, and observation stream. Each area is read from
-// its current cache view and each tracker under its observer lock, so
-// the capture is consistent per area (the unit of restore) without
-// stopping the world.
+// statistics, version, and observation stream. Each area's view and
+// tracker are read together under its observer lock, so the capture is
+// consistent per area (the unit of restore) without stopping the
+// world.
 func (s *Server) StatePlane() StatePlane {
-	recs := s.cache.Areas()
+	slots := s.cache.slots
 	p := StatePlane{
 		TakenUnixMS: time.Now().UnixMilli(),
-		Areas:       make([]AreaSnapshot, 0, len(recs)),
+		Areas:       make([]AreaSnapshot, len(slots)),
 	}
-	for _, rec := range recs {
-		entry := AreaSnapshot{AreaState: rec.state, Version: rec.version}
-		if o, ok := s.observers.get(rec.state.ID); ok {
-			o.mu.Lock()
-			// A tracker left at a stale break-even interval restarts on
-			// the next observation anyway; snapshot that as "no stream".
-			if o.tr.B() == rec.state.B {
-				entry.Tracker = o.tr.State()
-			}
-			o.mu.Unlock()
-		}
-		p.Areas = append(p.Areas, entry)
+	for i := range slots {
+		sl := &slots[i]
+		sl.obs.mu.Lock()
+		rec := sl.view.Load().rec
+		p.Areas[i] = AreaSnapshot{AreaState: rec.state, Version: rec.version, Tracker: sl.obs.state(rec.state.B)}
+		sl.obs.mu.Unlock()
 	}
 	if st := s.ledger.State(); !st.Empty() {
 		p.Ledger = &st
@@ -238,23 +223,28 @@ func (s *Server) restoreState(p StatePlane) error {
 
 // restoreTrackers rebuilds the observation streams from a snapshot.
 // The cache restore has already published the snapshot's (B, mu, q),
-// so each tracker is rebuilt at its area's restored break-even.
+// so each tracker is rebuilt at its area's restored break-even. A zero
+// tracker state is a stream not yet started and restores as a nil
+// tracker, built on the area's next observation.
 func (s *Server) restoreTrackers(p StatePlane) error {
 	for _, a := range p.Areas {
-		o, ok := s.observers.get(a.ID)
+		sl, ok := s.cache.slot(a.ID)
 		if !ok {
 			continue
 		}
-		tr, err := adaptive.NewTracker(s.observers.cfg.streamConfig(a.B))
-		if err != nil {
-			return fmt.Errorf("server: restore: area %s: %w", a.ID, err)
+		var tr *adaptive.Tracker
+		if a.Tracker != (adaptive.TrackerState{}) {
+			var err error
+			if tr, err = adaptive.NewTracker(s.retune.streamConfig(a.B)); err != nil {
+				return fmt.Errorf("server: restore: area %s: %w", a.ID, err)
+			}
+			if err := tr.RestoreState(a.Tracker); err != nil {
+				return fmt.Errorf("server: restore: area %s: %w", a.ID, err)
+			}
 		}
-		if err := tr.RestoreState(a.Tracker); err != nil {
-			return fmt.Errorf("server: restore: area %s: %w", a.ID, err)
-		}
-		o.mu.Lock()
-		o.tr = tr
-		o.mu.Unlock()
+		sl.obs.mu.Lock()
+		sl.obs.tr = tr
+		sl.obs.mu.Unlock()
 	}
 	return nil
 }

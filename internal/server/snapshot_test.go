@@ -90,6 +90,7 @@ func TestDecodeSnapshotFailsClosed(t *testing.T) {
 		"garbage":         []byte("not json at all"),
 		"truncated":       data[:len(data)/2],
 		"trailing":        append(append([]byte(nil), data...), []byte(`{"x":1}`)...),
+		"trailing_close":  append(append([]byte(nil), data...), ']'),
 		"bit_flip":        flipPayload,
 		"wrong_format":    bytes.Replace(data, []byte(`"idled-state"`), []byte(`"other-state"`), 1),
 		"future_schema":   bytes.Replace(data, []byte(`"schema_version":1`), []byte(`"schema_version":2`), 1),
